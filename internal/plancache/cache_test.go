@@ -188,3 +188,31 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Errorf("lookups = %d, want %d", hits+misses, 8*2000)
 	}
 }
+
+// TestGetRacesPutSameKey: Put rewrites a live entry's value while Get
+// returns it. Under -race this fails unless Get reads the value while
+// it still holds the shard lock.
+func TestGetRacesPutSameKey(t *testing.T) {
+	c := New(16)
+	c.Put("k", 0, c.Epoch())
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				c.Put("k", i, c.Epoch())
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				if v, ok := c.Get("k"); !ok || v.(int) < 0 {
+					t.Errorf("Get = %v, %v", v, ok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -122,10 +121,10 @@ func BenchmarkSoserveThroughput(b *testing.B) {
 }
 
 // BenchmarkServerSelectLarge measures a large row-returning SELECT end
-// to end — execute against the column, then encode the envelope exactly
-// as the HTTP layer does (indented JSON). The rows stream out of the
-// result rope chunk-by-chunk during encoding; the flat []int64 is never
-// materialized, so B/op is dominated by the JSON text itself.
+// to end — execute against the column, then write the answer with the
+// HTTP layer's own writer (writeResult) to io.Discard. The rows stream
+// out of the result rope chunk-by-chunk into a pooled 32 KB buffer; the
+// flat []int64 and the whole JSON text are never materialized.
 func BenchmarkServerSelectLarge(b *testing.B) {
 	s := New(Config{
 		Extent:   selforg.Interval{Lo: 0, Hi: 99_999},
@@ -152,9 +151,7 @@ func BenchmarkServerSelectLarge(b *testing.B) {
 		if res.Rows.Len() != 200_000 || res.Truncated {
 			b.Fatalf("got %d rows (truncated=%v)", res.Rows.Len(), res.Truncated)
 		}
-		enc := json.NewEncoder(io.Discard)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
+		if err := writeResult(io.Discard, res, false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"selforg"
 	"selforg/internal/sql"
@@ -23,22 +24,156 @@ type errorBody struct {
 	Offset *int `json:"offset,omitempty"`
 }
 
+// writeJSON writes the compact JSON of the small answers: errors,
+// /query, /write and /plans/flush. SQL results go through writeResult.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
+}
+
+// wireBlock is the size of the blocks a SQL answer reaches the socket
+// in: the writer formats into a pooled buffer and hands it to the
+// ResponseWriter each time it fills.
+const wireBlock = 32 << 10
+
+// wireBufs pools the answer buffers, so an answer allocates no buffer
+// and none stays pinned between requests. Room past wireBlock holds
+// the last row formatted before a flush. A buffer the envelope grew
+// beyond maxPooled (a huge explain plan) is dropped, not pooled.
+var wireBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, wireBlock+64)
+	return &b
+}}
+
+const maxPooled = 2 * wireBlock
+
+// wireWriter accumulates JSON in buf and writes it to w once it holds
+// limit bytes. The first failed write is kept in err; after it nothing
+// more is written, and the row formatter stops.
+type wireWriter struct {
+	w     io.Writer
+	buf   []byte
+	limit int
+	err   error
+}
+
+// flush writes out the buffer and empties it, reporting whether the
+// write succeeded. Callers stop formatting at the first failure.
+func (ww *wireWriter) flush() bool {
+	_, ww.err = ww.w.Write(ww.buf)
+	ww.buf = ww.buf[:0]
+	return ww.err == nil
+}
+
+// writeResult writes res as compact JSON: the bytes of
+// json.NewEncoder(w).Encode(res), with "plan" appended last when
+// explain is set. Rows go straight from the result rope into the
+// buffer, so the answer is formatted once and never held whole.
+func writeResult(w io.Writer, res *Result, explain bool) error {
+	bp := wireBufs.Get().(*[]byte)
+	ww := wireWriter{w: w, buf: (*bp)[:0], limit: wireBlock}
+	if res.appendTo(&ww, explain) {
+		ww.buf = append(ww.buf, '\n')
+		ww.flush()
+	}
+	if cap(ww.buf) <= maxPooled {
+		*bp = ww.buf
+		wireBufs.Put(bp)
+	}
+	return ww.err
+}
+
+// appendTo appends res to ww in Result's field order, with its
+// omitempty rules; TestWireBytes holds it to json.Marshal. It reports
+// false when a write failed on the way.
+func (res *Result) appendTo(ww *wireWriter, explain bool) bool {
+	b := append(ww.buf, `{"op":`...)
+	b = appendString(b, res.Op)
+	b = strconv.AppendInt(append(b, `,"count":`...), res.Count, 10)
+	if res.Sum != 0 {
+		b = strconv.AppendInt(append(b, `,"sum":`...), res.Sum, 10)
+	}
+	if res.Rows != nil {
+		ww.buf = append(b, `,"rows":`...)
+		if !res.Rows.appendTo(ww) {
+			return false
+		}
+		b = ww.buf
+	}
+	if len(res.Columns) > 0 {
+		b = append(b, `,"columns":[`...)
+		for i, c := range res.Columns {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendString(b, c)
+		}
+		b = append(b, ']')
+	}
+	if len(res.Tuples) > 0 {
+		b = append(b, `,"tuples":[`...)
+		for i, t := range res.Tuples {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if t == nil {
+				b = append(b, "null"...)
+				continue
+			}
+			ww.buf = b
+			if !NewRows(t).appendTo(ww) {
+				return false
+			}
+			b = ww.buf
+		}
+		b = append(b, ']')
+	}
+	if res.Truncated {
+		b = append(b, `,"truncated":true`...)
+	}
+	st, _ := json.Marshal(&res.Stats)
+	b = append(append(b, `,"stats":`...), st...)
+	b = strconv.AppendBool(append(b, `,"cached":`...), res.Cached)
+	b = appendString(append(b, `,"fingerprint":`...), res.Fingerprint)
+	b = appendString(append(b, `,"tenant":`...), res.Tenant)
+	if explain {
+		b = appendString(append(b, `,"plan":`...), res.Plan)
+	}
+	ww.buf = append(b, '}')
+	return true
+}
+
+// appendString appends s as a JSON string exactly as encoding/json
+// writes it. Printable ASCII without quote, backslash or <>& — every
+// op, fingerprint and tenant name the server produces — is copied
+// between quotes; anything else (an explain plan's newlines, a hostile
+// string) is marshalled by encoding/json itself, which HTML-escapes
+// and turns invalid UTF-8 into U+FFFD.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s)
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
+	writeJSON(w, status, newErrorBody(err))
+}
+
+func newErrorBody(err error) errorBody {
 	body := errorBody{Error: err.Error()}
 	var se *sql.SyntaxError
 	if errors.As(err, &se) {
 		off := se.Offset
 		body.Offset = &off
 	}
-	writeJSON(w, status, body)
+	return body
 }
 
 // handleSQL is POST /sql: the statement in the body, ?tenant= routing,
@@ -75,14 +210,9 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		return
 	}
-	if r.URL.Query().Get("explain") != "" {
-		writeJSON(w, http.StatusOK, struct {
-			*Result
-			Plan string `json:"plan"`
-		}{res, res.Plan})
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(http.StatusOK)
+	writeResult(w, res, r.URL.Query().Get("explain") != "")
 }
 
 // handleQuery is the legacy GET /query?lo=&hi=[&op=count][&tenant=]

@@ -2,18 +2,18 @@ package server
 
 import (
 	"encoding/json"
+	"math"
 	"strconv"
 
 	"selforg"
 )
 
 // Rows is the wire form of a single-column result set. On the serving
-// side it wraps the facade's chunked result (selforg.Rows) and marshals
-// by streaming digits straight out of the rope's chunks — the flat
-// []int64 is never materialized, so a large SELECT response costs one
-// JSON buffer instead of a row slice plus per-element reflection. On
-// the client side (and in tests) it unmarshals back into a flat slice;
-// the JSON bytes are identical to the []int64 encoding it replaces.
+// side it wraps the facade's chunked result (selforg.Rows), and the
+// HTTP writer streams its digits straight out of the rope's chunks —
+// the flat []int64 is never materialized. On the client side (and in
+// tests) it unmarshals back into a flat slice; the JSON bytes are
+// identical to the []int64 encoding.
 type Rows struct {
 	chunked *selforg.Rows // serving-side rope source; nil when flat
 	n       int           // rows to emit from chunked (MaxRows truncation)
@@ -56,34 +56,52 @@ func (r *Rows) Values() []int64 {
 // MarshalJSON encodes the rows as a JSON array, walking the chunked
 // source in place — no intermediate flat slice.
 func (r *Rows) MarshalJSON() ([]byte, error) {
-	buf := make([]byte, 0, 2+r.Len()*8)
-	buf = append(buf, '[')
-	first := true
-	emit := func(v int64) {
-		if !first {
-			buf = append(buf, ',')
+	ww := wireWriter{buf: make([]byte, 0, 2+r.Len()*8), limit: math.MaxInt}
+	r.appendTo(&ww)
+	return ww.buf, nil
+}
+
+// appendTo appends the rows to ww as a JSON array. It is the one place
+// rows are formatted: the HTTP writer and MarshalJSON both call it. The
+// buffer goes to the client each time it reaches ww.limit; at the first
+// failed write formatting stops and appendTo reports false.
+func (r *Rows) appendTo(ww *wireWriter) bool {
+	sep := byte('[')
+	put := func(vals []int64) bool {
+		buf := ww.buf
+		for _, v := range vals {
+			buf = strconv.AppendInt(append(buf, sep), v, 10)
+			sep = ','
+			if len(buf) >= ww.limit {
+				ww.buf = buf
+				if !ww.flush() {
+					return false
+				}
+				buf = ww.buf
+			}
 		}
-		first = false
-		buf = strconv.AppendInt(buf, v, 10)
+		ww.buf = buf
+		return true
 	}
-	if r != nil && r.chunked != nil {
+	switch {
+	case r == nil:
+	case r.chunked != nil:
 		left := r.n
 		r.chunked.Chunks(func(vals []int64) bool {
 			if len(vals) > left {
 				vals = vals[:left]
 			}
-			for _, v := range vals {
-				emit(v)
-			}
 			left -= len(vals)
-			return left > 0
+			return put(vals) && left > 0
 		})
-	} else if r != nil {
-		for _, v := range r.flat {
-			emit(v)
-		}
+	default:
+		put(r.flat)
 	}
-	return append(buf, ']'), nil
+	if sep == '[' {
+		ww.buf = append(ww.buf, '[')
+	}
+	ww.buf = append(ww.buf, ']')
+	return ww.err == nil
 }
 
 // UnmarshalJSON decodes a JSON row array into the flat form.

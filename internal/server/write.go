@@ -6,7 +6,8 @@
 //     so SQL writes flow through the MVCC delta store and, when
 //     durability is on, the group committer: a 200 means the write is
 //     in the WAL and survives SIGKILL.
-//   - CREATE TABLE-d tables live in the tenant's private MemCatalog.
+//   - CREATE TABLE-d tables live in the tenant's private MemCatalog,
+//     outside the WAL, so a durable server refuses CREATE TABLE.
 //     DML on them compiles to MAL write plans (sql.GenerateDML): the
 //     predicate evaluates through the Figure-1 delta-bat merge, and the
 //     qualifying oids feed sql.updateRows/deleteRows. SELECTs on those
@@ -20,6 +21,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -56,6 +58,11 @@ func (s *Server) execWrite(name, src string) (*Result, error) {
 		res.Op = "create"
 		if st.Schema == s.cfg.Schema && st.Table == s.cfg.Table {
 			return nil, &CompileError{Err: fmt.Errorf("table %s.%s already exists", st.Schema, st.Table)}
+		}
+		if s.cfg.Options.Durability.Dir != "" {
+			// Created tables live in the tenant's in-memory catalog, outside
+			// the WAL: acknowledging one would promise writes a restart loses.
+			return nil, &CompileError{Err: errors.New("CREATE TABLE is refused on a durable server: created tables are not durable yet")}
 		}
 		t.cmu.Lock()
 		err := t.cat.CreateTable(st.Schema, st.Table, st.Columns)

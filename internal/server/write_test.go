@@ -180,6 +180,38 @@ func TestSQLTenantTables(t *testing.T) {
 	}
 }
 
+// TestSQLTenantTablesRefusedWhenDurable: created tables live outside
+// the WAL, so a durable server answers CREATE TABLE with 400 instead of
+// acknowledging a table a restart would lose. The served table's
+// durable DML is unaffected.
+func TestSQLTenantTablesRefusedWhenDurable(t *testing.T) {
+	cfg := testConfig()
+	cfg.Options.Durability = selforg.Durability{Dir: t.TempDir()}
+	s := New(cfg)
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	_, err := s.Exec("alpha", "CREATE TABLE m (a, b)")
+	if err == nil || !isClientError(err) || !strings.Contains(err.Error(), "not durable") {
+		t.Fatalf("durable CREATE TABLE: err = %v", err)
+	}
+	resp, err := http.Post(srv.URL+"/sql?tenant=alpha", "text/plain", strings.NewReader("CREATE TABLE m (a, b)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("durable CREATE TABLE over HTTP = %d, want 400", resp.StatusCode)
+	}
+	if _, err := s.Exec("alpha", "INSERT INTO m VALUES (1, 2)"); err == nil || !isClientError(err) {
+		t.Fatalf("insert into the refused table: err = %v", err)
+	}
+	if res, err := s.Exec("alpha", "INSERT INTO P VALUES (42)"); err != nil || res.Count != 1 {
+		t.Fatalf("durable facade insert: %+v, %v", res, err)
+	}
+}
+
 // TestHandlerSQLWrites drives the same flows over real HTTP: CREATE,
 // INSERT, UPDATE, DELETE and SELECT against POST /sql, with client
 // faults mapped to 400.
